@@ -10,6 +10,7 @@ pytest-benchmark's ``pedantic`` mode with a single round because each
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -34,8 +35,23 @@ def results_dir() -> Path:
     return RESULTS_DIR
 
 
+def _finite(value):
+    """``value`` with every non-finite float replaced by None (JSON null)."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(item) for item in value]
+    return value
+
+
 def save_result(results_dir: Path, name: str, payload: dict) -> None:
-    """Persist one experiment's summary next to the benchmark output."""
+    """Persist one experiment's summary next to the benchmark output.
+
+    The file is strict JSON: an undefined figure (e.g. a speedup over a
+    baseline that never mitigated) is written as ``null``.
+    """
     path = results_dir / f"{name}.json"
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, default=str)
+        json.dump(_finite(payload), handle, indent=2, default=str, allow_nan=False)

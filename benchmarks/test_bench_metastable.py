@@ -81,7 +81,6 @@ def test_bench_metastable_campaigns(benchmark, results_dir):
         results_dir,
         "metastable",
         {
-            "wall_s": wall_s,
             "seed": SEED,
             "retry_storm": storm,
             "shed_vs_violate": shed,

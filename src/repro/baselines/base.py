@@ -16,6 +16,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.orchestrator import Orchestrator
+from repro.controllers.stages import StageBinding
 from repro.sim.engine import SimulationEngine
 from repro.sim.events import Event
 from repro.tracing.coordinator import TracingCoordinator
@@ -57,34 +58,25 @@ class ResourceController(abc.ABC):
         self.obs_source = type(self).__name__
 
     #: Stage names this controller pulls each round (documentation +
-    #: ``describe_controllers`` output; the DAG itself is declared by the
-    #: stages' own ``requires``).
+    #: ``describe_controllers`` output).
     stage_subscriptions: tuple = ()
 
     @property
     def stages(self):
-        """The controller's :class:`~repro.controllers.manager.StageRuntime`.
+        """The controller's :class:`~repro.controllers.stages.StageBinding`.
 
-        The harness binds one per tenant through :meth:`bind_stages`
-        (sharing the tenant's manager and cache); a controller built
-        outside a harness lazily self-binds to a private disabled manager
-        so stage pulls always work and always reproduce the legacy
-        direct-computation path.
+        The harness binds one per tenant through :meth:`bind_stages`; a
+        controller built outside a harness lazily self-binds to its own
+        coordinator and cluster so stage pulls always work.
         """
         if self._stages is None:
-            from repro.controllers.manager import ControllerManager, StageBinding
-
-            manager = ControllerManager(self.engine, enabled=False)
-            binding = StageBinding(
-                coordinator=self.coordinator, view=self.cluster, engine=self.engine
-            )
-            self.bind_stages(manager.runtime_for(binding))
+            self.bind_stages(StageBinding(coordinator=self.coordinator, view=self.cluster))
         return self._stages
 
-    def bind_stages(self, runtime) -> None:
-        """Attach a stage runtime.  Subclasses extend this to donate
+    def bind_stages(self, binding) -> None:
+        """Attach a stage binding.  Subclasses extend this to donate
         stateful helpers into the shared binding (see FIRM)."""
-        self._stages = runtime
+        self._stages = binding
 
     def start(self) -> None:
         """Start the periodic control loop."""

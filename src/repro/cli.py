@@ -245,11 +245,7 @@ def _run_sharded_experiment(args: argparse.Namespace):
             from repro.experiments.harness import ExperimentHarness
 
             harness = ExperimentHarness.from_spec(spec)
-            result = harness.run(
-                duration_s=spec.duration_s,
-                sample_period_s=spec.sample_period_s,
-                warmup_s=spec.warmup_s,
-            )
+            result = harness.run()
         else:
             result = run_scenario(spec)
     else:
@@ -363,13 +359,10 @@ def _run_metastable(args: argparse.Namespace):
 
 
 def _run_composed(args: argparse.Namespace):
-    """Run the composed controller stack (staged framework end to end).
+    """Run the composed controller stack end to end.
 
     ``--preset`` selects the victim's composition mode (``svm_gated_rl``,
-    the default, or ``priority_chain``); ``--legacy-controllers`` turns
-    the controller-manager memoization off (stage results are
-    byte-identical either way — the flag only changes how often shared
-    stages recompute).
+    the default, or ``priority_chain``).
     """
     from repro.experiments.composed import run_composed
 
@@ -377,7 +370,6 @@ def _run_composed(args: argparse.Namespace):
     kwargs: Dict[str, Any] = {
         "seed": getattr(args, "seed", 0),
         "mode": mode,
-        "controller_manager": not getattr(args, "legacy_controllers", False),
     }
     if args.duration is not None:
         kwargs["duration_s"] = args.duration
@@ -515,11 +507,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--obs-dir", default=None,
         help="write the run record (journal.jsonl, metrics.json/.prom, "
         "summary.json, trace.json) to this directory; implies --obs",
-    )
-    run_parser.add_argument(
-        "--legacy-controllers", action="store_true",
-        help="run the composed experiment with controller-manager stage "
-        "memoization off (byte-identical results, legacy recompute path)",
     )
     run_parser.add_argument("--out", default=None, help="write the JSON result to this path")
 

@@ -1,17 +1,17 @@
 """Composed controller policies: priority chains and SVM-gated RL.
 
-The composition layer on top of the staged framework: a
+The composition layer on top of the controller stages: a
 :class:`ComposedController` owns a stack of member controllers (built
 through the same registry, sharing the tenant's wiring and stage
-runtime) and decides each round which members act.
+binding) and decides each round which members act.
 
 Two modes:
 
 ``priority_chain``
     Every member runs, in declared order, each round.  The value over
-    running them as separate controllers is the shared stage runtime:
-    the chain pulls detection once and every member's own pull is a
-    cache hit (with the manager enabled).
+    running them as separate controllers is the shared stage binding:
+    every member senses through the same Extractor, so FIRM's online
+    SVM training is visible to the chain's own detection pull.
 
 ``svm_gated_rl``
     The paper's RL estimator guarded by a heuristic fallback.  The first
@@ -157,12 +157,12 @@ class ComposedController(ResourceController):
         for member in getattr(self, "members", ()):
             member.obs = value
 
-    def bind_stages(self, runtime) -> None:
-        """Share one stage runtime (and thus one cache and one Extractor)
-        across the gate and every member."""
-        super().bind_stages(runtime)
+    def bind_stages(self, binding) -> None:
+        """Share one stage binding (and thus one Extractor) across the
+        gate and every member."""
+        super().bind_stages(binding)
         for member in self.members:
-            member.bind_stages(runtime)
+            member.bind_stages(binding)
 
     @property
     def rl_member(self) -> Optional[FIRMController]:

@@ -1,234 +1,150 @@
-"""Controller stages: named, memoizable units of per-window control work.
+"""Controller stages: the named per-window sensing reads of a control round.
 
-A :class:`ControllerStage` is one piece of the sensing work every
-controller round begins with — aggregating the telemetry window, pulling
-recent traces and extracting critical paths, running SVM detection,
-reading the admission gate's pressure signals.  Historically each
-controller re-ran that work privately inside its monolithic
-``control_round``; stages name the work, declare what other stages it
-depends on, and let the :class:`~repro.controllers.manager.ControllerManager`
-memoize each result per ``(stage, tenant, instant, params)`` so a stack of
-controllers sharing one tenant computes it once per control window.
+Every FIRM-style control round begins with the same sensing work —
+the SLO verdict, critical-path extraction, SVM localization, the
+admission gate's pressure signals, per-service utilization.  Each piece
+is a plain function here, registered by name in :data:`STAGES`, and
+controllers reach them through their :class:`StageBinding` with
+``self.stages.pull(name, **params)``.  Every pull computes: there is no
+cache, so a stage runs exactly where and when its caller asks.
 
-Stage implementations are **pure reads** of the coordinator/cluster state:
-no RNG draws, no engine scheduling, no cluster mutation.  That is the
-whole determinism contract — a memoized result is byte-identical to a
-recomputation at the same instant, so enabling the manager can never
-change experiment output (the pinned determinism suite enforces this for
-every scenario family).
-
-Stages are registered by :func:`register_stage` and looked up by name;
-``requires`` declares the dependency edges :func:`stage_order` topologically
-sorts (and validates for cycles).  A stage body pulls its dependencies
-through :meth:`StageContext.require`, which routes through the same
-manager memo — so dependencies are computed lazily, in exactly the order
-the legacy monolithic loops issued the underlying queries.
+Stages are **pure reads** of the coordinator/cluster state: no RNG
+draws, no engine scheduling, no cluster mutation.
 """
 
 from __future__ import annotations
 
-import abc
-from typing import Dict, List, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Callable, Dict, Tuple
 
 from repro.cluster.resources import Resource
 
-#: Registry of stage singletons by name.
-_STAGES: Dict[str, "ControllerStage"] = {}
 
+@dataclass
+class StageBinding:
+    """What a stage sees: one tenant's observation surface.
 
-class ControllerStage(abc.ABC):
-    """One named unit of shared per-window control-sensing work.
-
-    Class attributes
-    ----------------
-    name:
-        Registry name (stable; controllers subscribe by it).
-    requires:
-        Names of stages this stage's ``compute`` may pull through
-        :meth:`StageContext.require` — the dependency edges of the DAG.
-    scope:
-        ``"tenant"`` results are memoized per tenant binding (each tenant
-        observes through its own coordinator/view); ``"cluster"`` results
-        are keyed cluster-wide and shared across every tenant's manager
-        (service names are globally unique, so e.g. per-service
-        utilization is the same answer whichever tenant asks).
+    ``runtime`` is the owning ``TenantRuntime`` when there is one
+    (admission signals live there); ``providers`` lets a controller
+    donate long-lived stateful helpers — e.g. FIRM provides its
+    online-trained :class:`~repro.core.extractor.Extractor` so the
+    detection stage runs the *same* SVM the agent trains.
     """
 
-    name: str = ""
-    requires: Tuple[str, ...] = ()
-    scope: str = "tenant"
+    coordinator: Any
+    view: Any
+    runtime: Any = None
+    providers: Dict[Tuple, Any] = field(default_factory=dict)
 
-    @abc.abstractmethod
-    def compute(self, ctx, **params):
-        """Produce this stage's result for one instant (pure read)."""
+    def pull(self, name: str, **params):
+        """Compute stage ``name`` for this tenant now."""
+        try:
+            stage = STAGES[name]
+        except KeyError:
+            known = ", ".join(sorted(STAGES))
+            raise ValueError(f"unknown controller stage {name!r}; registered: {known}")
+        return stage(self, **params)
 
+    def provide(self, key: Tuple, value: Any) -> Any:
+        """Donate a helper under ``key``; first provider wins."""
+        return self.providers.setdefault(key, value)
 
-def register_stage(cls):
-    """Class decorator: instantiate and register a stage by its ``name``."""
-    if not cls.name:
-        raise ValueError(f"stage class {cls.__name__} must set a name")
-    if cls.name in _STAGES:
-        raise ValueError(f"stage {cls.name!r} is already registered")
-    if cls.scope not in ("tenant", "cluster"):
-        raise ValueError(f"stage {cls.name!r} has unknown scope {cls.scope!r}")
-    _STAGES[cls.name] = cls()
-    return cls
+    def extractor_for(self, window_s: float, percentile: float):
+        """The tenant's Extractor for this (window, percentile) config.
 
+        Returns the provided one when a controller donated it (FIRM's,
+        with its online-trained SVM); otherwise lazily creates and keeps
+        a default so repeated pulls share state.
+        """
+        key = ("extractor", float(window_s), float(percentile))
+        extractor = self.providers.get(key)
+        if extractor is None:
+            from repro.core.extractor import Extractor
 
-def get_stage(name: str) -> ControllerStage:
-    """The registered stage singleton for ``name``."""
-    try:
-        return _STAGES[name]
-    except KeyError:
-        known = ", ".join(sorted(_STAGES))
-        raise ValueError(f"unknown controller stage {name!r}; registered: {known}")
+            extractor = Extractor(
+                self.coordinator,
+                window_s=window_s,
+                detection_percentile=percentile,
+            )
+            self.providers[key] = extractor
+        return extractor
 
+    def path_extractor(self):
+        """The shared critical-path extractor (stateless, one per tenant)."""
+        key = ("path_extractor",)
+        extractor = self.providers.get(key)
+        if extractor is None:
+            from repro.core.critical_path import CriticalPathExtractor
 
-def available_stages() -> List[str]:
-    """Registered stage names, sorted."""
-    return sorted(_STAGES)
-
-
-def stage_order(names=None) -> List[str]:
-    """Topological order of the given stages (default: all registered).
-
-    Dependencies come before dependents; ties break alphabetically so the
-    order is stable.  Raises ``ValueError`` on unknown dependencies or
-    cycles — the manager runs this at construction so a bad stage graph
-    fails fast, not mid-experiment.
-    """
-    pool = sorted(_STAGES if names is None else names)
-    for name in pool:
-        stage = get_stage(name)
-        for dep in stage.requires:
-            if dep not in _STAGES:
-                raise ValueError(f"stage {name!r} requires unknown stage {dep!r}")
-    # Kahn's algorithm restricted to the pool (deps outside it are pulled in).
-    closure: List[str] = []
-    pending = list(pool)
-    while pending:
-        name = pending.pop()
-        if name in closure:
-            continue
-        closure.append(name)
-        pending.extend(get_stage(name).requires)
-    closure.sort()
-    indegree = {name: 0 for name in closure}
-    dependents: Dict[str, List[str]] = {name: [] for name in closure}
-    for name in closure:
-        for dep in get_stage(name).requires:
-            indegree[name] += 1
-            dependents[dep].append(name)
-    ready = sorted(name for name, degree in indegree.items() if degree == 0)
-    ordered: List[str] = []
-    while ready:
-        name = ready.pop(0)
-        ordered.append(name)
-        changed = False
-        for dependent in dependents[name]:
-            indegree[dependent] -= 1
-            if indegree[dependent] == 0:
-                ready.append(dependent)
-                changed = True
-        if changed:
-            ready.sort()
-    if len(ordered) != len(closure):
-        cyclic = sorted(set(closure) - set(ordered))
-        raise ValueError(f"controller stage dependency cycle involving {cyclic}")
-    return ordered
+            extractor = CriticalPathExtractor()
+            self.providers[key] = extractor
+        return extractor
 
 
-# ---------------------------------------------------------------------------
-# Built-in stages
-# ---------------------------------------------------------------------------
-
-
-@register_stage
-class SLOVerdictStage(ControllerStage):
+def slo_verdict(binding: StageBinding, window_s: float, percentile: float = 99.0) -> bool:
     """Whether any request type's tail latency currently violates its SLO.
 
     Exactly the coordinator query FIRM's detector and AIMD's "violating"
-    test issue (:meth:`TracingCoordinator.has_slo_violation`), keyed on
-    the observation window and percentile.
+    test issue (:meth:`TracingCoordinator.has_slo_violation`).
     """
-
-    name = "slo_verdict"
-
-    def compute(self, ctx, window_s: float, percentile: float = 99.0) -> bool:
-        return ctx.coordinator.has_slo_violation(window_s, percentile=percentile)
+    return binding.coordinator.has_slo_violation(window_s, percentile=percentile)
 
 
-@register_stage
-class ComfortableStage(ControllerStage):
+def comfortable(
+    binding: StageBinding, window_s: float, percentile: float, slack_threshold: float
+) -> bool:
     """True when every request type's tail latency is well inside its SLO.
 
     The AIMD "decrease" predicate: a request type blocks comfort when its
     windowed tail exceeds ``slack_threshold`` times its SLO; empty windows
-    (tail <= 0) don't count.  Kept call-for-call identical to the legacy
-    ``AIMDController._is_comfortable`` so memoized and direct computation
-    agree byte-for-byte.
+    (tail <= 0) don't count.
     """
-
-    name = "comfortable"
-
-    def compute(self, ctx, window_s: float, percentile: float, slack_threshold: float) -> bool:
-        coordinator = ctx.coordinator
-        slos = coordinator.slo_latency_ms
-        if not slos:
+    coordinator = binding.coordinator
+    slos = coordinator.slo_latency_ms
+    if not slos:
+        return False
+    for request_type, slo in slos.items():
+        tail = coordinator.latency_percentile_ms(percentile, window_s, request_type)
+        if tail <= 0:
+            continue
+        if tail > slack_threshold * slo:
             return False
-        for request_type, slo in slos.items():
-            tail = coordinator.latency_percentile_ms(percentile, window_s, request_type)
-            if tail <= 0:
-                continue
-            if tail > slack_threshold * slo:
-                return False
-        return True
+    return True
 
 
-@register_stage
-class CriticalPathStage(ControllerStage):
+def critical_path(binding: StageBinding, window_s: float):
     """Recent traces plus their extracted critical paths.
 
     Returns ``(traces, critical_paths)`` for the window; with no retained
-    traces both are empty and no extraction runs (matching the legacy
-    Extractor's early return).
+    traces both are empty and no extraction runs.
     """
-
-    name = "critical_path"
-
-    def compute(self, ctx, window_s: float):
-        traces = ctx.coordinator.recent_traces(window_s)
-        if not traces:
-            return [], []
-        return traces, ctx.binding.path_extractor().extract_all(traces)
+    traces = binding.coordinator.recent_traces(window_s)
+    if not traces:
+        return [], []
+    return traces, binding.path_extractor().extract_all(traces)
 
 
-@register_stage
-class DetectionStage(ControllerStage):
+def detection(
+    binding: StageBinding, window_s: float, percentile: float = 99.0, force: bool = False
+):
     """The full detect -> extract -> localize round (modules 2-3).
 
-    Pulls the SLO verdict, and only on violation (or ``force``) the
+    Reads the SLO verdict, and only on violation (or ``force``) the
     critical paths, then hands both to the tenant's
     :class:`~repro.core.extractor.Extractor` for SVM candidate selection —
-    the same object FIRM trains online, provided through the stage binding
-    so detection and training share one SVM.  Result is an
+    the same object FIRM trains online, provided through the binding so
+    detection and training share one SVM.  Result is an
     :class:`~repro.core.extractor.ExtractionResult`.
     """
-
-    name = "detection"
-    requires = ("slo_verdict", "critical_path")
-
-    def compute(self, ctx, window_s: float, percentile: float = 99.0, force: bool = False):
-        violated = ctx.require("slo_verdict", window_s=window_s, percentile=percentile)
-        extractor = ctx.binding.extractor_for(window_s, percentile)
-        if not violated and not force:
-            return extractor.localize(violated, force=force, traces=[], paths=[])
-        traces, paths = ctx.require("critical_path", window_s=window_s)
-        return extractor.localize(violated, force=force, traces=traces, paths=paths)
+    violated = slo_verdict(binding, window_s=window_s, percentile=percentile)
+    extractor = binding.extractor_for(window_s, percentile)
+    if not violated and not force:
+        return extractor.localize(violated, force=force, traces=[], paths=[])
+    traces, paths = critical_path(binding, window_s=window_s)
+    return extractor.localize(violated, force=force, traces=traces, paths=paths)
 
 
-@register_stage
-class AdmissionSignalsStage(ControllerStage):
+def admission_signals(binding: StageBinding) -> Dict[str, object]:
     """The tenant's admission-gate pressure signals as detection features.
 
     Surfaces the survival kit's live state — cumulative shed rate and
@@ -237,53 +153,49 @@ class AdmissionSignalsStage(ControllerStage):
     falls back to its heuristic member while a breaker is open).  Tenants
     without a gate report the quiet baseline (``available: False``).
     """
-
-    name = "admission_signals"
-
-    def compute(self, ctx) -> Dict[str, object]:
-        runtime = ctx.binding.runtime
-        gate = getattr(runtime, "admission", None) if runtime is not None else None
-        if gate is None:
-            return {
-                "available": False,
-                "shed_rate": 0.0,
-                "shed": 0,
-                "submitted": 0,
-                "breakers": {},
-                "breakers_open": 0,
-            }
-        submitted = int(gate.stats["submitted"])
-        shed = int(gate.stats["shed"])
-        breakers = {service: breaker.state for service, breaker in sorted(gate._breakers.items())}
+    runtime = binding.runtime
+    gate = getattr(runtime, "admission", None) if runtime is not None else None
+    if gate is None:
         return {
-            "available": True,
-            "shed_rate": (shed / submitted) if submitted else 0.0,
-            "shed": shed,
-            "submitted": submitted,
-            "breakers": breakers,
-            "breakers_open": sum(1 for state in breakers.values() if state == "open"),
+            "available": False,
+            "shed_rate": 0.0,
+            "shed": 0,
+            "submitted": 0,
+            "breakers": {},
+            "breakers_open": 0,
         }
+    submitted = int(gate.stats["submitted"])
+    shed = int(gate.stats["shed"])
+    breakers = {service: breaker.state for service, breaker in sorted(gate._breakers.items())}
+    return {
+        "available": True,
+        "shed_rate": (shed / submitted) if submitted else 0.0,
+        "shed": shed,
+        "submitted": submitted,
+        "breakers": breakers,
+        "breakers_open": sum(1 for state in breakers.values() if state == "open"),
+    }
 
 
-@register_stage
-class ServiceCPUUtilizationStage(ControllerStage):
+def service_cpu_utilization(binding: StageBinding, service: str):
     """Replica count and mean CPU utilization of one service.
 
-    The HPA's observation, keyed per service (service names are globally
-    unique across tenants, so the result is cluster-scoped and shared).
-    Returns ``(replica_count, mean_cpu_utilization)`` or None for
-    services with no replicas.  The snapshot is taken at pull time; scale
-    events invalidate the cache, but a stack that changes resource
-    *limits* mid-round should order its utilization readers before its
-    limit writers.
+    The HPA's observation.  Returns ``(replica_count,
+    mean_cpu_utilization)`` or None for services with no replicas.
     """
+    replicas = binding.view.replicas_of(service)
+    if not replicas:
+        return None
+    utilizations = [replica.utilization()[Resource.CPU] for replica in replicas]
+    return len(replicas), sum(utilizations) / len(utilizations)
 
-    name = "service_cpu_utilization"
-    scope = "cluster"
 
-    def compute(self, ctx, service: str):
-        replicas = ctx.view.replicas_of(service)
-        if not replicas:
-            return None
-        utilizations = [replica.utilization()[Resource.CPU] for replica in replicas]
-        return len(replicas), sum(utilizations) / len(utilizations)
+#: Every stage by the name controllers pull it under.
+STAGES: Dict[str, Callable[..., Any]] = {
+    "slo_verdict": slo_verdict,
+    "comfortable": comfortable,
+    "critical_path": critical_path,
+    "detection": detection,
+    "admission_signals": admission_signals,
+    "service_cpu_utilization": service_cpu_utilization,
+}

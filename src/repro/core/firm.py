@@ -153,11 +153,11 @@ class FIRMController(ResourceController):
         #: on this as the critic-uncertainty signal.
         self.last_critic_loss: Optional[float] = None
 
-    def bind_stages(self, runtime) -> None:
+    def bind_stages(self, binding) -> None:
         """Donate the online-trained Extractor so the shared detection
         stage runs the same SVM this controller trains."""
-        super().bind_stages(runtime)
-        runtime.provide(
+        super().bind_stages(binding)
+        binding.provide(
             (
                 "extractor",
                 float(self.extractor.window_s),

@@ -7,9 +7,7 @@ in ``svm_gated_rl`` mode (FIRM's RL estimator behind the critic-trust /
 admission-calm gate, AIMD as the heuristic fallback, online DDPG
 fine-tuning while serving), co-located with an aggressor tenant running a
 ``priority_chain`` composition of the same members.  The same spec backs
-the ``controller_stack`` perf macro (run once with the controller-manager
-off and once on, so the shared per-window detection win is measured on
-byte-identical workloads) and the ``controllers-smoke`` CI step.
+the ``controller_stack`` perf macro and the ``controllers-smoke`` CI step.
 """
 
 from __future__ import annotations
@@ -29,7 +27,6 @@ def composed_stack_spec(
     seed: int = 0,
     mode: str = "svm_gated_rl",
     online_learning: bool = True,
-    controller_manager: bool = False,
 ) -> ScenarioSpec:
     """The canonical composed-controller-stack scenario.
 
@@ -42,7 +39,6 @@ def composed_stack_spec(
         seed=seed,
         duration_s=duration_s,
         cluster_nodes=(2, 0),
-        controller_manager=controller_manager,
         tenants=[
             TenantSpec(
                 name="victim",
@@ -81,13 +77,11 @@ def run_composed(
     seed: int = 0,
     mode: str = "svm_gated_rl",
     online_learning: bool = True,
-    controller_manager: bool = True,
 ) -> Dict[str, Any]:
     """Run the composed stack and report the gate's behaviour.
 
-    Returns headline numbers plus, per tenant: the active composition,
-    every journaled-style policy switch, and the tenant manager's stage
-    cache counters (``computed`` vs ``hits`` — the shared-detection win).
+    Returns headline numbers plus, per tenant: the active composition and
+    every journaled-style policy switch.
     """
     from repro.experiments.harness import ExperimentHarness
 
@@ -96,14 +90,9 @@ def run_composed(
         seed=seed,
         mode=mode,
         online_learning=online_learning,
-        controller_manager=controller_manager,
     )
     harness = ExperimentHarness.from_spec(spec)
-    result = harness.run(
-        duration_s=spec.duration_s,
-        sample_period_s=spec.sample_period_s,
-        warmup_s=spec.warmup_s,
-    )
+    result = harness.run()
     tenants: Dict[str, Any] = {}
     for tenant in harness.tenants:
         controller = tenant.controller
@@ -113,7 +102,6 @@ def run_composed(
             "online_learning": getattr(controller, "online_learning", None),
             "rounds": len(getattr(controller, "rounds", ())),
             "active_policy": getattr(controller, "active_policy", None),
-            "stage_stats": dict(tenant.manager.stats),
             "policy_switches": [
                 {
                     "time_s": switch.time_s,
@@ -131,7 +119,6 @@ def run_composed(
         tenants[tenant.display_name] = entry
     return {
         "scenario_id": spec.scenario_id,
-        "controller_manager": controller_manager,
         "summary": result.summary(),
         "per_tenant": result.per_tenant_summary(),
         "controllers": tenants,

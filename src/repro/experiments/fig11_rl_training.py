@@ -128,7 +128,7 @@ def _training_episode(
     controller = harness.controller
     agent.begin_episode()
 
-    result = harness.run(duration_s=episode_duration_s, load_rps=load_rps)
+    result = harness.run(load_rps=load_rps)
 
     # Total reward: sum of the environment rewards observed by the controller.
     # The controller stores rewards through the replay buffer; approximate the

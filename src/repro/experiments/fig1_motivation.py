@@ -113,7 +113,7 @@ def _run_timeline(
         )
 
     harness.engine.schedule_recurring(sample_period_s, _sample, name="fig1-sample")
-    harness.run(duration_s=duration_s, load_rps=load_rps)
+    harness.run(load_rps=load_rps)
     return p99_series
 
 

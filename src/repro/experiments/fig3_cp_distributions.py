@@ -72,7 +72,7 @@ def run_fig3_for_application(
         ),
     )
     harness = ExperimentHarness.from_spec(spec)
-    harness.run(duration_s=duration_s, load_rps=load_rps)
+    harness.run(load_rps=load_rps)
 
     extractor = CriticalPathExtractor()
     traces = harness.coordinator.store.completed_traces()

@@ -86,7 +86,7 @@ def _run_configuration(
     if scale_service is not None:
         profile = harness.cluster.profile_of(scale_service)
         harness.cluster.deploy_service(profile, replicas=1)
-    harness.run(duration_s=duration_s, load_rps=load_rps)
+    harness.run(load_rps=load_rps)
     return harness
 
 

@@ -117,7 +117,7 @@ def _run_point(
     elif mitigation == "scale_out":
         harness.orchestrator.scale_out(target)
 
-    harness.run(duration_s=duration_s, load_rps=load_rps)
+    harness.run(load_rps=load_rps)
     latencies = [
         trace.end_to_end_latency_ms
         for trace in harness.coordinator.store.completed_traces()

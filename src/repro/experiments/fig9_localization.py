@@ -203,7 +203,7 @@ def run_fig9a(
                     lambda eng, s=injection: _evaluate_injection(eng, s),
                     name="fig9a-evaluate",
                 )
-            harness.run(duration_s=spec.duration_s, load_rps=load_rps)
+            harness.run(load_rps=load_rps)
             samples.extend(scored_accumulator)
 
         scores = [score for score, _ in samples]
@@ -329,7 +329,7 @@ def run_fig9b_for_application(
         component_extractor.train_from_ground_truth(paths, traces, sorted(culprits))
 
     harness.engine.schedule_recurring(window_s, _evaluate, name="fig9b-evaluate")
-    harness.run(duration_s=spec.duration_s, load_rps=load_rps)
+    harness.run(load_rps=load_rps)
 
     per_architecture = {
         arch: per_arch_correct.get(arch, 0) / count

@@ -43,7 +43,7 @@ from repro.cluster.node import NodeSpec
 from repro.cluster.orchestrator import Orchestrator
 from repro.cluster.scheduler import PlacementPolicy, Scheduler
 from repro.cluster.telemetry import TelemetryCollector
-from repro.controllers.manager import ControllerManager, StageBinding, StageCache
+from repro.controllers.stages import StageBinding
 from repro.core.firm import FIRMConfig, FIRMController
 from repro.experiments.scenario import ScenarioSpec, TenantSpec, run_scenario
 from repro.metrics.latency import LatencyStats
@@ -98,8 +98,6 @@ class TenantRuntime:
         self.controller: Optional[ResourceController] = None
         self.controller_name = "none"
         self.firm: Optional[FIRMController] = None
-        #: The tenant's controller-stage manager (set by the harness).
-        self.manager = None
 
     @property
     def admission(self) -> Optional[AdmissionGate]:
@@ -251,18 +249,9 @@ class ExperimentHarness:
         request_counter=None,
         telemetry_mode: str = "raw",
         observability: bool = False,
-        controller_manager: bool = False,
     ) -> None:
         self.engine = engine
         self.rng = rng
-        #: Whether controller stages are memoized per window by each
-        #: tenant's ControllerManager (off = legacy direct computation,
-        #: byte-identical results either way — stages are pure reads).
-        self.controller_manager = bool(controller_manager)
-        #: Cache shared by every tenant's manager for cluster-scoped
-        #: stages (service names are globally unique, so one computation
-        #: serves all tenants).
-        self._cluster_stage_cache = StageCache()
         #: Per-run observability bundle (journal + metrics registry), or
         #: None when disabled — every instrumentation site checks for None
         #: so the disabled path stays byte-identical to pre-obs behaviour.
@@ -316,7 +305,6 @@ class ExperimentHarness:
         if self.obs is not None:
             orchestrator.obs = self.obs
             orchestrator.obs_source = tenant.display_name
-        tenant.manager = self._build_stage_manager()
         self.tenants.append(tenant)
         return tenant
 
@@ -369,7 +357,6 @@ class ExperimentHarness:
         if self.obs is not None:
             orchestrator.obs = self.obs
             orchestrator.obs_source = tenant.display_name
-        tenant.manager = self._build_stage_manager()
         self.tenants.append(tenant)
 
         runtime.deploy()
@@ -527,7 +514,6 @@ class ExperimentHarness:
         request_counter=None,
         telemetry_mode: str = "raw",
         observability: bool = False,
-        controller_manager: bool = False,
     ) -> "ExperimentHarness":
         """Build a harness for one of the four benchmark applications."""
         engine = SimulationEngine()
@@ -536,7 +522,7 @@ class ExperimentHarness:
         harness = cls(
             app, engine, rng, scheduler=scheduler, node_specs=node_specs,
             request_counter=request_counter, telemetry_mode=telemetry_mode,
-            observability=observability, controller_manager=controller_manager,
+            observability=observability,
         )
         harness.runtime.deploy()
         harness.telemetry.start()
@@ -569,7 +555,6 @@ class ExperimentHarness:
             request_counter=request_counter,
             telemetry_mode=spec.telemetry_mode,
             observability=spec.observability,
-            controller_manager=spec.controller_manager,
         )
         harness.spec = spec
         cls._apply_dispatch_policy(harness, spec)
@@ -606,7 +591,6 @@ class ExperimentHarness:
             request_counter=request_counter,
             telemetry_mode=spec.telemetry_mode,
             observability=spec.observability,
-            controller_manager=spec.controller_manager,
         )
         harness.spec = spec
         cls._apply_dispatch_policy(harness, spec)
@@ -681,16 +665,6 @@ class ExperimentHarness:
         """
         return self._attach_controller(self._primary, name, **kwargs)
 
-    def _build_stage_manager(self):
-        """A per-tenant ControllerManager sharing the cluster stage cache."""
-        return ControllerManager(
-            self.engine,
-            enabled=self.controller_manager,
-            cluster=self.cluster,
-            obs=self.obs,
-            cluster_cache=self._cluster_stage_cache,
-        )
-
     def _attach_controller(
         self, tenant: TenantRuntime, name: str, **kwargs
     ) -> Optional[ResourceController]:
@@ -700,16 +674,10 @@ class ExperimentHarness:
         if controller is not None and self.obs is not None:
             controller.obs = self.obs
             controller.obs_source = tenant.display_name
-        if controller is not None and tenant.manager is not None:
-            binding = StageBinding(
-                coordinator=tenant.coordinator,
-                view=tenant.view,
-                engine=self.engine,
-                key=tenant.display_name,
-                runtime=tenant,
-                source=tenant.display_name,
+        if controller is not None:
+            controller.bind_stages(
+                StageBinding(coordinator=tenant.coordinator, view=tenant.view, runtime=tenant)
             )
-            controller.bind_stages(tenant.manager.runtime_for(binding))
         if tenant.controller is not None:
             tenant.controller.stop()
         tenant.controller = controller
@@ -795,15 +763,18 @@ class ExperimentHarness:
     # -------------------------------------------------------------------- run
     def run(
         self,
-        duration_s: float = 120.0,
+        duration_s: Optional[float] = None,
         load_rps: Optional[float] = None,
-        sample_period_s: float = 1.0,
-        warmup_s: float = 0.0,
+        sample_period_s: Optional[float] = None,
+        warmup_s: Optional[float] = None,
     ) -> ExperimentResult:
         """Run the scenario for ``duration_s`` simulated seconds.
 
         ``warmup_s`` seconds at the start are excluded from SLO accounting
         (the cluster starts empty, so the first requests see cold queues).
+        ``duration_s``, ``sample_period_s`` and ``warmup_s`` default to the
+        spec's values for a harness built by :meth:`from_spec`, and to
+        120 s, 1 s and 0 s otherwise.
         Every tenant's workload, campaign, and controller run concurrently
         on the shared engine; SLO statistics are tracked per tenant and
         merged into the cluster-level result (for single-tenant runs the
@@ -829,10 +800,10 @@ class ExperimentHarness:
 
     def begin_run(
         self,
-        duration_s: float = 120.0,
+        duration_s: Optional[float] = None,
         load_rps: Optional[float] = None,
-        sample_period_s: float = 1.0,
-        warmup_s: float = 0.0,
+        sample_period_s: Optional[float] = None,
+        warmup_s: Optional[float] = None,
     ) -> "RunSession":
         """Set a run up (trackers, hooks, sampling, controllers, workloads)
         without executing any events.
@@ -841,8 +812,16 @@ class ExperimentHarness:
         drives the engine in increments — the windowed execution mode the
         sharded engine is built on.  The setup call order is exactly the
         prefix :meth:`run` used to execute, so a session advanced straight
-        to its end time reproduces ``run()`` byte for byte.
+        to its end time reproduces ``run()`` byte for byte.  Parameters
+        default as in :meth:`run`.
         """
+        spec = self.spec if self.spec is not None else ScenarioSpec(duration_s=120.0)
+        if duration_s is None:
+            duration_s = spec.duration_s
+        if sample_period_s is None:
+            sample_period_s = spec.sample_period_s
+        if warmup_s is None:
+            warmup_s = spec.warmup_s
         primary = self._primary
         if primary.workload is None:
             self._attach_workload(

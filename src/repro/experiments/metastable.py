@@ -298,9 +298,7 @@ def _run_metastable_case_with_result(
         significant_intensity=case.significant_intensity,
     )
     scorer.attach(until_s=spec.duration_s, name="metastable-evaluate")
-    result = harness.run(
-        duration_s=spec.duration_s, sample_period_s=spec.sample_period_s
-    )
+    result = harness.run()
 
     trigger_end = case.anomaly_start_s + case.anomaly_duration_s
     post_trigger = 0.0

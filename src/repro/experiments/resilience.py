@@ -487,9 +487,7 @@ def run_resilience_case(case: ResilienceCase) -> ResilienceOutcome:
     )
     scorer.attach(until_s=spec.duration_s)
     windows = scorer.windows
-    result = harness.run(
-        duration_s=spec.duration_s, sample_period_s=spec.sample_period_s
-    )
+    result = harness.run()
 
     if case.multi_tenant:
         victim = result.tenant_results["victim"]

@@ -249,12 +249,6 @@ class ScenarioSpec:
     replicas: Optional[Dict[str, int]] = None
     telemetry_mode: str = "sketch"
     observability: bool = False
-    #: Memoize controller stages per control window through each tenant's
-    #: ControllerManager.  Stages are pure reads, so results are
-    #: byte-identical either way (pinned by the determinism suite);
-    #: excluded from scenario_id for the same reason telemetry_mode and
-    #: observability are.
-    controller_manager: bool = False
 
     @property
     def is_multi_tenant(self) -> bool:
@@ -305,12 +299,7 @@ class ScenarioSpec:
 
 def run_scenario(spec: ScenarioSpec) -> "ExperimentResult":
     """Build and run one scenario end to end, returning its result."""
-    harness = spec.build()
-    return harness.run(
-        duration_s=spec.duration_s,
-        sample_period_s=spec.sample_period_s,
-        warmup_s=spec.warmup_s,
-    )
+    return spec.build().run()
 
 
 def random_campaign_builder(

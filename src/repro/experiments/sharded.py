@@ -169,11 +169,7 @@ class ShardWorker:
             # Stamp the shard identity on exported journal records so the
             # driver's (t, shard, seq) merge is deterministic.
             self._harness.obs.journal.shard_index = self.shard_index
-        self._session = self._harness.begin_run(
-            duration_s=self.sub_spec.duration_s,
-            sample_period_s=self.sub_spec.sample_period_s,
-            warmup_s=self.sub_spec.warmup_s,
-        )
+        self._session = self._harness.begin_run()
 
     def advance(self, barrier_time: float) -> ShardDigest:
         """Run this shard's events up to the barrier; publish its digest."""

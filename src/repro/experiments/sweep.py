@@ -101,16 +101,12 @@ def sweep_grid(
     anomaly_rate_per_s: float = 0.0,
     min_intensity: float = 0.5,
     base: Optional[ScenarioSpec] = None,
-    controller_manager: bool = False,
 ) -> List[ScenarioSpec]:
     """Expand a grid of scenarios into specs (application-major order).
 
     ``anomaly_rate_per_s > 0`` adds a seed-derived random anomaly campaign
     to every scenario.  ``base`` supplies defaults for every field the grid
     does not set (warmup, sample period, request mix, ...).
-    ``controller_manager=True`` runs every spec with the staged
-    controller-manager (memoized per-window stages — byte-identical
-    results, cheaper control rounds on multi-consumer stacks).
     """
     template = base if base is not None else ScenarioSpec()
     campaign_builder: Optional[Callable] = None
@@ -135,7 +131,6 @@ def sweep_grid(
                             controller=controller,
                             campaign_builder=campaign_builder,
                             campaign=None,
-                            controller_manager=controller_manager,
                         )
                     )
     return specs
@@ -152,7 +147,6 @@ def tenant_sweep_grid(
     placement: Optional[str] = None,
     node_quota: Optional[int] = None,
     anomaly_rate_per_s: float = 0.0,
-    controller_manager: bool = False,
 ) -> List[ScenarioSpec]:
     """Expand a consolidation grid: N identical co-located tenants x seeds.
 
@@ -185,7 +179,7 @@ def tenant_sweep_grid(
                     placement=placement,
                     node_quota=node_quota,
                     anomaly_rate_per_s=anomaly_rate_per_s,
-                ).with_overrides(controller_manager=controller_manager)
+                )
             )
     return specs
 

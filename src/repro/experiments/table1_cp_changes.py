@@ -90,7 +90,7 @@ def run_table1_case(
             campaign=campaign,
         )
     )
-    harness.run(duration_s=duration_s, load_rps=load_rps)
+    harness.run(load_rps=load_rps)
 
     extractor = CriticalPathExtractor()
     traces = [

@@ -175,27 +175,6 @@ def _overhead_extras(specs, per_spec) -> Dict[str, object]:
     return extras
 
 
-def _stage_extras(specs, per_spec) -> Dict[str, object]:
-    """The shared-detection extras for a measure_stages benchmark.
-
-    ``per_spec`` pairs each spec with its ``(wall_s, events)`` measured
-    inside the shared timed window; the extras report events/sec with the
-    controller-manager off (``legacy``, per-pull stage recomputation) vs
-    on (``managed``, per-window memoization) and the resulting speedup.
-    """
-    rates: Dict[str, float] = {}
-    for spec, (wall, events) in zip(specs, per_spec):
-        mode = "managed" if getattr(spec, "controller_manager", False) else "legacy"
-        rates[mode] = events / max(wall, 1e-9)
-    extras: Dict[str, object] = {
-        "events_per_s_legacy": round(rates.get("legacy", 0.0), 1),
-        "events_per_s_managed": round(rates.get("managed", 0.0), 1),
-    }
-    if rates.get("legacy") and rates.get("managed"):
-        extras["speedup_x"] = round(rates["managed"] / rates["legacy"], 3)
-    return extras
-
-
 def _run_benchmark(
     benchmark: MacroBenchmark, quick: bool, profiler: Optional[cProfile.Profile]
 ) -> BenchmarkResult:
@@ -244,11 +223,7 @@ def _run_benchmark(
             per_spec: List[tuple] = []
             for spec, harness in zip(specs, harnesses):
                 spec_start = time.perf_counter()
-                result = harness.run(
-                    duration_s=spec.duration_s,
-                    sample_period_s=spec.sample_period_s,
-                    warmup_s=spec.warmup_s,
-                )
+                result = harness.run()
                 spec_wall = time.perf_counter() - spec_start
                 events += harness.engine.processed_events
                 requests += int(result.slo.completed)
@@ -271,8 +246,6 @@ def _run_benchmark(
         extras = _memory_extras(specs, harnesses)
     if benchmark.measure_overhead and not sharded:
         extras.update(_overhead_extras(specs, per_spec))
-    if benchmark.measure_stages and not sharded:
-        extras.update(_stage_extras(specs, per_spec))
     return BenchmarkResult(
         name=benchmark.name,
         description=benchmark.description,
@@ -439,11 +412,7 @@ def run_shard_scaling(
         if shards <= 1:
             harness = ExperimentHarness.from_spec(spec)
             start = time.perf_counter()
-            harness.run(
-                duration_s=spec.duration_s,
-                sample_period_s=spec.sample_period_s,
-                warmup_s=spec.warmup_s,
-            )
+            harness.run()
             wall = max(time.perf_counter() - start, 1e-9)
             events = harness.engine.processed_events
         else:

@@ -35,11 +35,8 @@ different slice of the stack:
   / ``overhead_pct`` extras) — the cost story of the run-record
   observability layer (:mod:`repro.obs`), pinned ≤ 5% by test;
 * ``controller_stack`` — the composed two-tenant controller stack
-  (SVM-gated RL + priority chain) run twice, controller-manager off
-  then on, reporting per-mode events/sec and the shared per-window
-  detection speedup (``events_per_s_legacy`` / ``events_per_s_managed``
-  / ``speedup_x`` extras) — the staged-controller framework's win
-  (:mod:`repro.controllers`).
+  (SVM-gated RL + priority chain): every controller stage of
+  :mod:`repro.controllers` runs each control window.
 
 Benchmarks are defined declaratively through
 :class:`~repro.experiments.scenario.ScenarioSpec` so the timed code path
@@ -95,13 +92,6 @@ class MacroBenchmark:
         specs with ``observability`` off vs on.  The benchmark's
         ``build_specs`` must return one spec of each mode.  Unsharded
         benchmarks only.
-    measure_stages:
-        Like ``measure_overhead``, but comparing ``controller_manager``
-        off (legacy per-pull stage recomputation) vs on (per-window
-        memoization): attaches ``events_per_s_legacy`` /
-        ``events_per_s_managed`` / ``speedup_x`` extras.  The benchmark's
-        ``build_specs`` must return one spec of each mode.  Unsharded
-        benchmarks only.
     """
 
     name: str
@@ -112,7 +102,6 @@ class MacroBenchmark:
     shards: int = 1
     measure_memory: bool = False
     measure_overhead: bool = False
-    measure_stages: bool = False
 
     def specs(self, quick: bool = False) -> List[ScenarioSpec]:
         """The scenario specs for one run of this benchmark."""
@@ -206,15 +195,9 @@ def _obs_overhead(duration_s: float) -> List[ScenarioSpec]:
 
 
 def _controller_stack(duration_s: float) -> List[ScenarioSpec]:
-    # The composed two-tenant controller stack twice — controller-manager
-    # off then on — so the stage extras measure the shared per-window
-    # detection win on byte-identical workloads.  Composed stacks pull
-    # detection at the gate and again inside the FIRM member, which is
-    # exactly the redundancy the manager memoizes away.
     from repro.experiments.composed import composed_stack_spec
 
-    base = composed_stack_spec(duration_s=duration_s, seed=0)
-    return [base, base.with_overrides(controller_manager=True)]
+    return [composed_stack_spec(duration_s=duration_s, seed=0)]
 
 
 def _resilience_campaign(duration_s: float) -> List[ScenarioSpec]:
@@ -285,11 +268,10 @@ MACRO_BENCHMARKS: Dict[str, MacroBenchmark] = {
         ),
         MacroBenchmark(
             name="controller_stack",
-            description="composed controller stack, controller-manager off vs on",
+            description="composed two-tenant controller stack (SVM-gated RL + priority chain)",
             full_duration_s=15.0,
             quick_duration_s=5.0,
             build_specs=_controller_stack,
-            measure_stages=True,
         ),
         MacroBenchmark(
             name="sharded_multitenant",

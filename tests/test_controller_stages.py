@@ -1,10 +1,10 @@
-"""Unit tests for the staged controller-manager (:mod:`repro.controllers`).
+"""Unit tests for the controller stages (:mod:`repro.controllers`).
 
-Covers the memoization contract (once per stage per tenant per instant),
-eager invalidation on cluster scale events, the stage dependency DAG,
-the controller registry description backing ``repro.cli controllers
---list``, and the two FIRM fixes that ride along this refactor (the
-stopped-loop bookkeeping and the per-instance SLO selection).
+Covers direct stage pulls (every pull computes), unknown stage names,
+detection running the Extractor FIRM provides, the controller registry
+description backing ``repro.cli controllers --list``, and the two FIRM
+fixes that ride along the stage refactor (the stopped-loop bookkeeping
+and the per-instance SLO selection).
 """
 
 from __future__ import annotations
@@ -15,14 +15,7 @@ import pytest
 
 from repro.baselines.base import describe_controllers
 from repro.cli import main
-from repro.controllers import (
-    ControllerManager,
-    ControllerStage,
-    StageBinding,
-    available_stages,
-    stage_order,
-)
-from repro.controllers import stages as stages_module
+from repro.controllers import STAGES, StageBinding
 from repro.core.firm import FIRMConfig, FIRMController
 
 
@@ -37,31 +30,9 @@ class CountingCoordinator:
         return False
 
 
-class CountingView:
-    """Fake cluster view that counts replicas_of queries."""
-
-    def __init__(self) -> None:
-        self.calls = 0
-
-    def replicas_of(self, service):
-        self.calls += 1
-        return []
-
-
-def _runtime(manager, coordinator=None, view=None, key=None):
-    binding = StageBinding(
-        coordinator=coordinator if coordinator is not None else CountingCoordinator(),
-        view=view if view is not None else CountingView(),
-        engine=manager.engine,
-        key=key,
-    )
-    return manager.runtime_for(binding)
-
-
-# ------------------------------------------------------------- stage DAG
-class TestStageOrder:
+# --------------------------------------------------------------- stages
+class TestStages:
     def test_all_builtin_stages_registered(self):
-        names = available_stages()
         for expected in (
             "slo_verdict",
             "comfortable",
@@ -70,139 +41,52 @@ class TestStageOrder:
             "admission_signals",
             "service_cpu_utilization",
         ):
-            assert expected in names
+            assert expected in STAGES
 
-    def test_dependencies_precede_dependents(self):
-        order = stage_order()
-        assert set(order) == set(available_stages())
-        assert order.index("slo_verdict") < order.index("detection")
-        assert order.index("critical_path") < order.index("detection")
+    def test_every_pull_computes(self):
+        coordinator = CountingCoordinator()
+        binding = StageBinding(coordinator=coordinator, view=None)
+        assert binding.pull("slo_verdict", window_s=2.0, percentile=99.0) is False
+        assert binding.pull("slo_verdict", window_s=2.0, percentile=99.0) is False
+        assert coordinator.calls == 2
 
-    def test_subset_pulls_in_dependency_closure(self):
-        order = stage_order(["detection"])
-        assert "slo_verdict" in order
-        assert "critical_path" in order
-        assert order[-1] == "detection"
+    def test_unknown_stage_name_rejected(self):
+        binding = StageBinding(coordinator=CountingCoordinator(), view=None)
+        with pytest.raises(ValueError, match="unknown controller stage 'no_such_stage'") as info:
+            binding.pull("no_such_stage")
+        for name in STAGES:
+            assert name in str(info.value)
 
-    def test_unknown_dependency_rejected(self, monkeypatch):
-        class Broken(ControllerStage):
-            name = "broken_dep"
-            requires = ("no_such_stage",)
-
-            def compute(self, ctx):
-                return None
-
-        monkeypatch.setitem(stages_module._STAGES, "broken_dep", Broken())
-        with pytest.raises(ValueError, match="unknown stage"):
-            stage_order()
-
-    def test_cycle_rejected(self, monkeypatch):
-        class CycleA(ControllerStage):
-            name = "cycle_a"
-            requires = ("cycle_b",)
-
-            def compute(self, ctx):
-                return None
-
-        class CycleB(ControllerStage):
-            name = "cycle_b"
-            requires = ("cycle_a",)
-
-            def compute(self, ctx):
-                return None
-
-        monkeypatch.setitem(stages_module._STAGES, "cycle_a", CycleA())
-        monkeypatch.setitem(stages_module._STAGES, "cycle_b", CycleB())
-        with pytest.raises(ValueError, match="cycle"):
-            stage_order()
-
-
-# ---------------------------------------------------------- memoization
-class TestMemoization:
-    def test_enabled_manager_computes_once_per_instant(self):
-        engine = SimpleNamespace(now=0.0)
-        manager = ControllerManager(engine, enabled=True)
-        runtime = _runtime(manager)
-        coordinator = runtime.binding.coordinator
-        first = runtime.pull("slo_verdict", window_s=2.0, percentile=99.0)
-        second = runtime.pull("slo_verdict", window_s=2.0, percentile=99.0)
-        assert first is second is False
-        assert coordinator.calls == 1
-        assert manager.stats == {"computed": 1, "hits": 1}
-
-    def test_distinct_params_are_distinct_entries(self):
-        engine = SimpleNamespace(now=0.0)
-        manager = ControllerManager(engine, enabled=True)
-        runtime = _runtime(manager)
-        runtime.pull("slo_verdict", window_s=2.0, percentile=99.0)
-        runtime.pull("slo_verdict", window_s=4.0, percentile=99.0)
-        assert runtime.binding.coordinator.calls == 2
-        assert manager.stats == {"computed": 2, "hits": 0}
-
-    def test_distinct_tenants_are_distinct_entries(self):
-        engine = SimpleNamespace(now=0.0)
-        manager = ControllerManager(engine, enabled=True)
-        first = _runtime(manager, key="a")
-        second = _runtime(manager, key="b")
-        first.pull("slo_verdict", window_s=2.0, percentile=99.0)
-        second.pull("slo_verdict", window_s=2.0, percentile=99.0)
-        assert first.binding.coordinator.calls == 1
-        assert second.binding.coordinator.calls == 1
-        assert manager.stats == {"computed": 2, "hits": 0}
-
-    def test_cache_expires_when_clock_advances(self):
-        engine = SimpleNamespace(now=0.0)
-        manager = ControllerManager(engine, enabled=True)
-        runtime = _runtime(manager)
-        runtime.pull("slo_verdict", window_s=2.0, percentile=99.0)
-        engine.now = 1.0
-        runtime.pull("slo_verdict", window_s=2.0, percentile=99.0)
-        assert runtime.binding.coordinator.calls == 2
-        assert manager.stats == {"computed": 2, "hits": 0}
-
-    def test_disabled_manager_recomputes_every_pull(self):
-        engine = SimpleNamespace(now=0.0)
-        manager = ControllerManager(engine, enabled=False)
-        runtime = _runtime(manager)
-        runtime.pull("slo_verdict", window_s=2.0, percentile=99.0)
-        runtime.pull("slo_verdict", window_s=2.0, percentile=99.0)
-        assert runtime.binding.coordinator.calls == 2
-        assert manager.stats == {"computed": 0, "hits": 0}
-        assert not manager.cache.entries
-
-    def test_scale_event_invalidates_within_instant(self):
-        listeners = []
-        cluster = SimpleNamespace(add_scale_listener=listeners.append)
-        engine = SimpleNamespace(now=0.0)
-        manager = ControllerManager(engine, enabled=True, cluster=cluster)
-        assert listeners, "enabled manager must register a scale listener"
-        runtime = _runtime(manager)
-        runtime.pull("slo_verdict", window_s=2.0, percentile=99.0)
-        listeners[0]("someService", None, True)
-        runtime.pull("slo_verdict", window_s=2.0, percentile=99.0)
-        assert runtime.binding.coordinator.calls == 2
-        assert manager.cache.invalidations == 1
-        assert manager.cluster_cache.invalidations == 1
-
-    def test_disabled_manager_registers_no_listener(self):
-        listeners = []
-        cluster = SimpleNamespace(add_scale_listener=listeners.append)
-        ControllerManager(SimpleNamespace(now=0.0), enabled=False, cluster=cluster)
-        assert not listeners
-
-    def test_cluster_scope_shared_across_tenants(self):
-        engine = SimpleNamespace(now=0.0)
-        view = CountingView()
-        manager_a = ControllerManager(engine, enabled=True)
-        manager_b = ControllerManager(
-            engine, enabled=True, cluster_cache=manager_a.cluster_cache
+    def test_detection_uses_firm_extractor(self, cluster, coordinator, orchestrator, engine):
+        firm = FIRMController(
+            cluster, coordinator, orchestrator, engine, config=FIRMConfig(train_online=False)
         )
-        runtime_a = _runtime(manager_a, view=view, key="a")
-        runtime_b = _runtime(manager_b, view=view, key="b")
-        assert runtime_a.pull("service_cpu_utilization", service="svc") is None
-        assert runtime_b.pull("service_cpu_utilization", service="svc") is None
-        assert view.calls == 1
-        assert manager_b.stats["hits"] == 1
+        calls = []
+
+        def localize(violated, force=False, traces=None, paths=None):
+            calls.append((violated, force, traces, paths))
+            return "firm-extraction"
+
+        firm.extractor.localize = localize
+        window_s = firm.extractor.window_s
+        percentile = firm.extractor.detection_percentile
+        assert firm.stages.extractor_for(window_s, percentile) is firm.extractor
+        result = firm.stages.pull("detection", window_s=window_s, percentile=percentile)
+        assert result == "firm-extraction"
+        assert calls == [(False, False, [], [])]
+
+    def test_composed_gate_shares_firm_extractor(self):
+        from repro.experiments.composed import composed_stack_spec
+        from repro.experiments.harness import ExperimentHarness
+
+        harness = ExperimentHarness.from_spec(composed_stack_spec(duration_s=1.0))
+        gate = harness.tenant("victim").controller
+        rl = gate.rl_member
+        assert gate.stages is rl.stages
+        extractor = gate.stages.extractor_for(
+            rl.extractor.window_s, rl.extractor.detection_percentile
+        )
+        assert extractor is rl.extractor
 
 
 # ------------------------------------------------------------- registry

@@ -155,6 +155,23 @@ class TestScenarioSpec:
         assert harness.workload is not None
         assert harness.spec is spec
 
+    def test_run_defaults_to_spec_timing(self):
+        spec = ScenarioSpec(
+            application="hotel_reservation",
+            seed=1,
+            duration_s=3.0,
+            load_rps=15.0,
+            sample_period_s=0.5,
+            warmup_s=1.0,
+        )
+        result = ExperimentHarness.from_spec(spec).run()
+        assert result.duration_s == 3.0
+        explicit = ExperimentHarness.from_spec(spec).run(
+            duration_s=3.0, sample_period_s=0.5, warmup_s=1.0
+        )
+        assert result.summary() == explicit.summary()
+        assert result.requested_cpu_samples == explicit.requested_cpu_samples
+
     def test_with_overrides(self):
         spec = ScenarioSpec(seed=1, controller="firm")
         other = spec.with_overrides(seed=2)
