@@ -310,20 +310,16 @@ class Cluster:
     def node_demand_snapshot(self) -> Dict[str, Dict[Resource, float]]:
         """Per-node demand this cluster exerts, as plain picklable dicts.
 
-        Each node's entry sums its hosted containers' capped demand (in
-        container order) plus the node's own anomaly-injected pressure —
-        everything a *different* shard simulating the same topology needs
-        to reproduce this shard's share of node contention.  Remote
+        Each node's entry is :meth:`Node.demand` (its containers' capped
+        demand) plus the node's own anomaly-injected pressure — everything
+        a *different* shard simulating the same topology needs to
+        reproduce this shard's share of node contention.  Remote
         pressure already applied to this cluster is deliberately excluded
         so snapshots never echo other shards' demand back at them.
         """
         snapshot: Dict[str, Dict[Resource, float]] = {}
         for node in self.nodes:
-            totals: Dict[Resource, float] = {r: 0.0 for r in RESOURCE_TYPES}
-            for container in node.containers:
-                demand_values = container._capped_demand_values()
-                for resource in RESOURCE_TYPES:
-                    totals[resource] = totals[resource] + demand_values[resource]
+            totals = node.demand().values
             pressure_values = node._injected_pressure.values
             for resource in RESOURCE_TYPES:
                 totals[resource] = totals[resource] + pressure_values[resource]

@@ -8,15 +8,19 @@ each request consumes).
 
 Demand, throttle, and contention factors are recomputed for every span a
 replica dispatches, so this module is a simulation hot path: the class is
-slotted and the per-resource loops work on plain dicts instead of going
-through :class:`~repro.cluster.resources.ResourceVector` arithmetic.
+slotted, the per-resource loops work on plain dicts instead of going
+through :class:`~repro.cluster.resources.ResourceVector` arithmetic, and
+:meth:`Container.total_slowdown` evaluates only the resources the service
+gives a non-zero weight (a zero-weight resource contributes exactly
+``1.0`` to a maximum that is already at least ``1.0``).
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Optional
+from typing import Dict, Iterable, Optional
 
+from repro.cluster.node import Node
 from repro.cluster.resources import (
     RESOURCE_TYPES,
     Resource,
@@ -59,6 +63,7 @@ class Container:
         "instance",
         "_started_cold",
         "partition_enforced",
+        "_placement",
         "_limits_version",
         "_demand_key",
         "_demand_values",
@@ -85,6 +90,8 @@ class Container:
         #: resources (cgroups CFS quota, Intel MBA/CAT, blkio, tc/HTB).  Until
         #: then the container runs best-effort and its limits are only caps.
         self.partition_enforced = False
+        #: Placement stamp from the hosting node; orders the node's busy set.
+        self._placement = -1
         # Capped-demand memo: demand only changes when the hosted instance's
         # queue/in-service population or this container's limits change, but
         # node-level contention re-reads it for every container on the node
@@ -178,21 +185,22 @@ class Container:
             return self.effective_cpu_limit()
         return self.limits.values[resource]
 
-    def _cap_factors(self) -> Dict[Resource, float]:
+    def _cap_factors(
+        self, resources: Iterable[Resource] = RESOURCE_TYPES
+    ) -> Dict[Resource, float]:
         """Per-resource slowdown from the container's own limits (caps).
 
         cgroups CFS quota, MBA, blkio, and HTB throttle a container when it
         wants more of a resource than its limit; the slowdown follows the
-        same queueing-delay curve used for node-level contention.
+        same queueing-delay curve used for node-level contention.  Only
+        ``resources`` are evaluated (all five by default).
         """
-        from repro.cluster.node import Node  # local import avoids a cycle
-
         if self.instance is None:
-            return {resource: 1.0 for resource in RESOURCE_TYPES}
+            return {resource: 1.0 for resource in resources}
         queueing_factor = Node._queueing_factor
         raw = self.instance._demand_values()
         factors: Dict[Resource, float] = {}
-        for resource in RESOURCE_TYPES:
+        for resource in resources:
             want = raw[resource]
             limit = self._limit_for(resource)
             if want <= 0:
@@ -244,22 +252,24 @@ class Container:
         the container's own cap or the node-level contention it is exposed
         to — so the per-resource factors are combined with ``max`` (not
         multiplied, which would double-count the same saturated resource)
-        before being weighted by the service's sensitivity.
+        before being weighted by the service's sensitivity.  Resources with
+        zero weight cannot raise the result, so only the weighted ones are
+        evaluated.
         """
-        if self.instance is None:
+        instance = self.instance
+        if instance is None:
             return 1.0
-        cap = self._cap_factors()
+        weights = instance.profile.resource_weights
+        resources = [resource for resource, weight in weights.items() if weight]
+        cap = self._cap_factors(resources)
         node = self.node
-        if node is not None:
-            node_factors = node.contention_factors(self)
-        else:
-            node_factors = {resource: 1.0 for resource in RESOURCE_TYPES}
-        profile = self.instance.profile.resource_weights
+        # Without a node every contention factor is 1.0, which never
+        # exceeds a cap factor.
+        node_factors = node.contention_factors(self, resources) if node is not None else cap
         slowdown = 1.0
-        for resource in RESOURCE_TYPES:
-            weight = profile.get(resource, 0.0)
+        for resource in resources:
             factor = max(cap[resource], node_factors[resource])
-            slowdown = max(slowdown, 1.0 + (factor - 1.0) * weight)
+            slowdown = max(slowdown, 1.0 + (factor - 1.0) * weights[resource])
         return slowdown
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -17,7 +17,10 @@ which is exactly the signal FIRM detects, localizes, and mitigates.
 ``submit``/``_try_dispatch``/``_finish`` run once per span, making this the
 hottest non-engine code in the simulator: the service-time stream and its
 lognormal parameters are cached per instance, span bookkeeping objects are
-slotted, and listener dispatch avoids per-span list copies.
+slotted, and listener dispatch avoids per-span list copies.  On the idle ->
+busy transition (``submit``) and the busy -> idle one (``_finish``) the
+instance tells its node, which keeps the busy containers that per-dispatch
+contention scans walk instead of every hosted container.
 """
 
 from __future__ import annotations
@@ -266,7 +269,12 @@ class MicroserviceInstance:
             base_time_ms=base_time_ms,
             on_complete=on_complete,
         )
-        self._queue.append(work)
+        queue = self._queue
+        if not queue and not self._in_service:
+            node = self.container.node
+            if node is not None:
+                node._mark_busy(self.container)
+        queue.append(work)
         self._try_dispatch()
         return True
 
@@ -309,7 +317,12 @@ class MicroserviceInstance:
 
     def _finish(self, work: SpanWork) -> None:
         """Complete one span: record latency and notify the caller."""
-        self._in_service.pop(work.work_id, None)
+        in_service = self._in_service
+        in_service.pop(work.work_id, None)
+        if not in_service and not self._queue:
+            node = self.container.node
+            if node is not None:
+                node._mark_idle(self.container)
         self._completed_spans += 1
         finish_time = self.engine.now
         latency_ms = (finish_time - work.enqueue_time) * 1000.0

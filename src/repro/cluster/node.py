@@ -7,12 +7,21 @@ node's bandwidth).  Contention is computed at node scope: when the sum of
 container demand plus injected pressure exceeds capacity for a resource,
 every container on the node experiences a slowdown proportional to the
 oversubscription of the resources it actually uses.
+
+Contention is evaluated once per dispatched span, so the node keeps the
+subset of its containers that have in-flight work (``_busy``, in placement
+order) and the per-dispatch sums walk only that subset.  An idle
+container's capped demand is exactly ``0.0``, and ``x + 0.0 == x`` in IEEE
+arithmetic, so the busy-only sums equal full scans bit for bit.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from operator import attrgetter
+from typing import Dict, Iterable, List, Optional
 
 from repro.cluster.resources import (
     RESOURCE_TYPES,
@@ -43,12 +52,21 @@ class NodeSpec:
     architecture: str = "x86"
 
 
+_placement_key = attrgetter("_placement")
+
+
 class Node:
     """A simulated server hosting containers and absorbing anomaly pressure."""
 
     def __init__(self, spec: NodeSpec) -> None:
         self.spec = spec
         self.containers: List["Container"] = []  # noqa: F821 - forward ref
+        #: Hosted containers whose instance has in-flight work, in placement
+        #: order (each container is stamped from ``_placements`` when it is
+        #: added).  Instances maintain it on their 0 <-> 1 in-flight
+        #: transitions through :meth:`_mark_busy` / :meth:`_mark_idle`.
+        self._busy: List["Container"] = []  # noqa: F821
+        self._placements = itertools.count()
         # External pressure from the anomaly injector, as an absolute amount
         # of each resource consumed by the interfering workload.
         self._injected_pressure = ResourceVector()
@@ -76,14 +94,33 @@ class Node:
         """Place a container on this node."""
         if container in self.containers:
             return
+        container._placement = next(self._placements)
         self.containers.append(container)
         container.node = self
+        instance = container.instance
+        if instance is not None and instance.in_flight:
+            # The newest placement sorts last.
+            self._busy.append(container)
 
     def remove_container(self, container: "Container") -> None:  # noqa: F821
-        """Evict a container from this node."""
+        """Evict a container from this node.
+
+        A busy container leaves the busy set too; spans it still has in
+        flight finish with ``container.node`` unset and touch no node.
+        """
         if container in self.containers:
             self.containers.remove(container)
+            if container in self._busy:
+                self._busy.remove(container)
             container.node = None
+
+    def _mark_busy(self, container: "Container") -> None:  # noqa: F821
+        """Record that a hosted container's instance went from idle to busy."""
+        bisect.insort(self._busy, container, key=_placement_key)
+
+    def _mark_idle(self, container: "Container") -> None:  # noqa: F821
+        """Record that a hosted container's instance drained its last span."""
+        self._busy.remove(container)
 
     def allocated_limits(self) -> ResourceVector:
         """Sum of resource limits across all hosted containers."""
@@ -139,9 +176,13 @@ class Node:
 
     # ------------------------------------------------------------- contention
     def demand(self) -> ResourceVector:
-        """Aggregate instantaneous resource demand of hosted containers."""
+        """Aggregate instantaneous resource demand of hosted containers.
+
+        Sums the busy containers in placement order; idle ones add exactly
+        ``0.0``, so the total equals a scan of every hosted container.
+        """
         total: Dict[Resource, float] = {r: 0.0 for r in RESOURCE_TYPES}
-        for container in self.containers:
+        for container in self._busy:
             demand_values = container._capped_demand_values()
             for resource in RESOURCE_TYPES:
                 total[resource] = total[resource] + demand_values[resource]
@@ -191,18 +232,26 @@ class Node:
         work-conserving: a protected container's unused allocation remains
         available to best-effort consumers.  The pool therefore subtracts
         the enforced containers' *usage* (capped at their guarantee), not
-        their nominal limits.
+        their nominal limits.  Only busy containers are summed: an idle
+        one's usage is ``0.0`` and its (non-negative) guarantee caps it at
+        ``0.0``, so skipping it leaves the sum unchanged.
         """
+        scale = self._dilution_scale(resource)
         protected_usage = 0.0
-        for container in self.containers:
+        for container in self._busy:
             if not container.partition_enforced:
                 continue
-            guarantee = container.limits[resource] * self._dilution_scale(resource)
-            protected_usage += min(container.current_demand()[resource], guarantee)
-        reserved = min(protected_usage, self.capacity[resource])
-        return max(self.capacity[resource] - reserved, 0.05 * self.capacity[resource])
+            guarantee = container.limits.values[resource] * scale
+            protected_usage += min(container._capped_demand_values()[resource], guarantee)
+        capacity = self.capacity[resource]
+        reserved = min(protected_usage, capacity)
+        return max(capacity - reserved, 0.05 * capacity)
 
-    def contention_factors(self, container: Optional["Container"] = None) -> Dict[Resource, float]:  # noqa: F821
+    def contention_factors(
+        self,
+        container: Optional["Container"] = None,  # noqa: F821
+        resources: Iterable[Resource] = RESOURCE_TYPES,
+    ) -> Dict[Resource, float]:
         """Per-resource contention slowdown factors.
 
         Without a container argument, returns the best-effort pool's
@@ -219,25 +268,22 @@ class Node:
           quota, blkio, and tc/HTB provide;
         * an unpartitioned container competes in the best-effort pool.
 
-        This runs once per dispatched span, so the pool demand is
-        accumulated on plain dicts (one pass over the hosted containers)
-        and the best-effort pool collapses to raw capacity when no
-        container on the node has an enforced partition.
+        Only ``resources`` are evaluated (all five by default); the
+        returned dict holds exactly those keys.  This runs once per
+        dispatched span, so the pool demand is accumulated on plain dicts
+        in one pass over the *busy* containers (idle ones add exactly
+        ``0.0``), and the best-effort pool collapses to raw capacity when
+        no busy container has an enforced partition (an idle enforced
+        container reserves no usage, so the pool is exactly capacity).
         """
         factors: Dict[Resource, float] = {}
-        protected = container is not None and container.partition_enforced
         capacity_values = self.capacity.values
         queueing_factor = self._queueing_factor
-        has_enforced = False
-        for hosted in self.containers:
-            if hosted.partition_enforced:
-                has_enforced = True
-                break
 
-        if protected:
+        if container is not None and container.partition_enforced:
             demand_values = container._capped_demand_values()
             limit_values = container.limits.values
-            for resource in RESOURCE_TYPES:
+            for resource in resources:
                 capacity = capacity_values[resource]
                 if capacity <= 0:
                     factors[resource] = 1.0
@@ -249,31 +295,30 @@ class Node:
                 factors[resource] = queueing_factor(demand_values[resource] / guarantee)
             return factors
 
-        pool_demand: Dict[Resource, float] = {r: 0.0 for r in RESOURCE_TYPES}
-        for hosted in self.containers:
-            if not hosted.partition_enforced:
-                hosted_demand = hosted._capped_demand_values()
-                for resource in RESOURCE_TYPES:
-                    pool_demand[resource] = (
-                        pool_demand[resource] + hosted_demand[resource]
-                    )
+        has_enforced = False
+        pool_demand: Dict[Resource, float] = {r: 0.0 for r in resources}
+        for hosted in self._busy:
+            if hosted.partition_enforced:
+                has_enforced = True
+                continue
+            hosted_demand = hosted._capped_demand_values()
+            for resource in pool_demand:
+                pool_demand[resource] = pool_demand[resource] + hosted_demand[resource]
         pressure_values = self._injected_pressure.values
-        for resource in RESOURCE_TYPES:
+        for resource in pool_demand:
             pool_demand[resource] = pool_demand[resource] + pressure_values[resource]
         if self._has_remote_pressure:
             remote_values = self._remote_pressure.values
-            for resource in RESOURCE_TYPES:
+            for resource in pool_demand:
                 pool_demand[resource] = pool_demand[resource] + remote_values[resource]
 
-        for resource in RESOURCE_TYPES:
+        for resource, demand in pool_demand.items():
             capacity = capacity_values[resource]
             if capacity <= 0:
                 factors[resource] = 1.0
                 continue
-            # With no enforced partitions anywhere on the node, the
-            # best-effort pool is the full capacity (reserved usage is 0).
             pool = self.best_effort_pool(resource) if has_enforced else capacity
-            factors[resource] = queueing_factor(pool_demand[resource] / pool)
+            factors[resource] = queueing_factor(demand / pool)
         return factors
 
     def utilization(self) -> ResourceVector:

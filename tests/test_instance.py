@@ -7,7 +7,14 @@ import pytest
 from repro.cluster.container import Container
 from repro.cluster.instance import MicroserviceInstance, ServiceProfile
 from repro.cluster.node import Node, NodeSpec
-from repro.cluster.resources import Resource, ResourceLimits, ResourceVector
+from repro.cluster.resources import (
+    RESOURCE_TYPES,
+    Resource,
+    ResourceLimits,
+    ResourceVector,
+)
+from repro.experiments.harness import ExperimentHarness
+from repro.experiments.interference import aggressor_victim
 
 
 def _make_instance(engine, rng, cpu_limit=4.0, base_ms=5.0, threads=8, cv=0.25):
@@ -141,3 +148,154 @@ class TestServiceTimes:
             resource_weights={Resource.CPU: 0.3, Resource.LLC: 0.9},
         )
         assert profile.dominant_resource() is Resource.LLC
+
+
+class TestBusyTransitions:
+    def test_submit_marks_busy_and_last_finish_marks_idle(self, engine, rng):
+        instance = _make_instance(engine, rng)
+        node = instance.container.node
+        assert node._busy == []
+        instance.submit("r1", "svc", lambda *a: None)
+        instance.submit("r2", "svc", lambda *a: None)
+        assert node._busy == [instance.container]
+        engine.run_until(1.0)
+        assert node._busy == []
+
+    def test_dropped_submit_leaves_busy_set_alone(self, engine, rng):
+        instance = _make_instance(engine, rng)
+        instance.max_queue_length = 0
+        assert not instance.submit("r1", "svc", lambda *a: None)
+        assert instance.container.node._busy == []
+
+    def test_finish_after_eviction_touches_no_node(self, engine, rng):
+        instance = _make_instance(engine, rng)
+        node = instance.container.node
+        instance.submit("r1", "svc", lambda *a: None)
+        node.remove_container(instance.container)
+        assert node._busy == []
+        engine.run_until(1.0)
+        assert instance.completed_spans == 1
+        assert node._busy == []
+
+
+# --------------------------------------------------------------------------
+# Full-scan reference of the five-resource contention model.  The simulator
+# scans only busy containers and weighted resources; both shortcuts must be
+# exact, so every dispatch is compared with ``==``.
+# --------------------------------------------------------------------------
+
+
+def _reference_dilution(node, resource):
+    reservation = sum(c.limits[resource] for c in node.containers if c.partition_enforced)
+    capacity = node.capacity[resource]
+    if reservation <= capacity or reservation <= 0:
+        return 1.0
+    return capacity / reservation
+
+
+def _reference_contention(node, container):
+    queueing = Node._queueing_factor
+    factors = {}
+    if container.partition_enforced:
+        demand = container.current_demand()
+        for resource in RESOURCE_TYPES:
+            capacity = node.capacity[resource]
+            if capacity <= 0:
+                factors[resource] = 1.0
+                continue
+            guarantee = container.limits[resource] * _reference_dilution(node, resource)
+            if guarantee <= 0:
+                factors[resource] = queueing(Node.MAX_UTILIZATION)
+            else:
+                factors[resource] = queueing(demand[resource] / guarantee)
+        return factors
+    has_enforced = any(c.partition_enforced for c in node.containers)
+    pool_demand = {resource: 0.0 for resource in RESOURCE_TYPES}
+    for hosted in node.containers:
+        if not hosted.partition_enforced:
+            demand = hosted.current_demand()
+            for resource in RESOURCE_TYPES:
+                pool_demand[resource] = pool_demand[resource] + demand[resource]
+    for resource in RESOURCE_TYPES:
+        pool_demand[resource] = pool_demand[resource] + node.injected_pressure[resource]
+    if node._has_remote_pressure:
+        for resource in RESOURCE_TYPES:
+            pool_demand[resource] = pool_demand[resource] + node.remote_pressure[resource]
+    for resource in RESOURCE_TYPES:
+        capacity = node.capacity[resource]
+        if capacity <= 0:
+            factors[resource] = 1.0
+            continue
+        pool = capacity
+        if has_enforced:
+            protected = 0.0
+            for hosted in node.containers:
+                if hosted.partition_enforced:
+                    guarantee = hosted.limits[resource] * _reference_dilution(node, resource)
+                    protected += min(hosted.current_demand()[resource], guarantee)
+            pool = max(capacity - min(protected, capacity), 0.05 * capacity)
+        factors[resource] = queueing(pool_demand[resource] / pool)
+    return factors
+
+
+def _reference_slowdown(container):
+    queueing = Node._queueing_factor
+    instance = container.instance
+    raw = instance.resource_demand()
+    cap = {}
+    for resource in RESOURCE_TYPES:
+        limit = (
+            container.effective_cpu_limit()
+            if resource is Resource.CPU
+            else container.limits[resource]
+        )
+        if raw[resource] <= 0:
+            cap[resource] = 1.0
+        elif limit <= 0:
+            cap[resource] = queueing(Node.MAX_UTILIZATION)
+        else:
+            cap[resource] = queueing(raw[resource] / limit)
+    if container.node is not None:
+        node_factors = _reference_contention(container.node, container)
+    else:
+        node_factors = {resource: 1.0 for resource in RESOURCE_TYPES}
+    slowdown = 1.0
+    for resource in RESOURCE_TYPES:
+        weight = instance.profile.resource_weights.get(resource, 0.0)
+        factor = max(cap[resource], node_factors[resource])
+        slowdown = max(slowdown, 1.0 + (factor - 1.0) * weight)
+    return slowdown
+
+
+class TestContentionExactness:
+    @pytest.mark.parametrize("enforce_half", [False, True])
+    def test_every_dispatch_matches_full_scan(self, monkeypatch, enforce_half):
+        spec = aggressor_victim(duration_s=1.0, seed=0, aggressor_anomaly_rate_per_s=2.0)
+        harness = ExperimentHarness.from_spec(spec)
+        containers = harness.cluster.all_containers()
+        if enforce_half:
+            for container in containers[::2]:
+                container.partition_enforced = True
+        checked = []
+        original = Container.total_slowdown
+
+        def checked_total_slowdown(container):
+            slowdown = original(container)
+            node = container.node
+            assert slowdown == _reference_slowdown(container)
+            assert node.contention_factors(container) == _reference_contention(node, container)
+            reference_demand = {resource: 0.0 for resource in RESOURCE_TYPES}
+            for hosted in node.containers:
+                for resource in RESOURCE_TYPES:
+                    reference_demand[resource] = (
+                        reference_demand[resource] + hosted.current_demand()[resource]
+                    )
+            assert node.demand().values == reference_demand
+            checked.append(slowdown)
+            return slowdown
+
+        monkeypatch.setattr(Container, "total_slowdown", checked_total_slowdown)
+        harness.run()
+        assert len(checked) > 1000
+        # The run exercised real contention, not only neutral factors.
+        assert max(checked) > 1.0

@@ -2,12 +2,19 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.cluster.container import Container
 from repro.cluster.instance import MicroserviceInstance, ServiceProfile
 from repro.cluster.node import Node, NodeSpec
-from repro.cluster.resources import Resource, ResourceLimits, ResourceVector
+from repro.cluster.resources import (
+    RESOURCE_TYPES,
+    Resource,
+    ResourceLimits,
+    ResourceVector,
+)
 
 
 @pytest.fixture
@@ -170,3 +177,103 @@ class TestContention:
         instance = _instance_on(node, engine, rng)
         instance.submit("r1", "svc", lambda *a: None)
         assert node.demand()[Resource.CPU] > 0.0
+
+
+def _busy_reference(node):
+    """The busy set recomputed from scratch: busy hosted containers, in order."""
+    return [c for c in node.containers if c.instance and c.instance.in_flight]
+
+
+class TestBusySet:
+    def test_random_operations_keep_busy_set_exact(self, node, engine, rng):
+        one_core = ResourceLimits.from_kwargs(cpu=1.0)
+        instances = [
+            _instance_on(node, engine, rng, limits=one_core if index % 2 else None)
+            for index in range(6)
+        ]
+        for instance in instances[1::2]:
+            instance.max_queue_length = 2
+        removed = []
+        evicted_busy = 0
+        choices = random.Random(7)
+        for step in range(400):
+            op = choices.random()
+            if op < 0.5:
+                instance = choices.choice(instances)
+                instance.submit(f"r{step}", "svc", lambda *a: None)
+            elif op < 0.8:
+                engine.run_until(engine.now + choices.uniform(0.0, 0.01))
+            elif op < 0.9 and node.containers:
+                container = choices.choice(node.containers)
+                evicted_busy += container in node._busy
+                node.remove_container(container)
+                removed.append(container)
+            elif removed:
+                node.add_container(removed.pop(choices.randrange(len(removed))))
+            assert node._busy == _busy_reference(node)
+        assert evicted_busy > 0
+        assert sum(instance.dropped_spans for instance in instances) > 0
+        # Spans of containers evicted while busy finish without a node.
+        engine.run_until(engine.now + 10.0)
+        assert node._busy == _busy_reference(node) == []
+        assert all(instance.in_flight == 0 for instance in instances)
+
+    def test_readded_busy_container_rejoins_in_placement_order(self, node, engine, rng):
+        first, second = _instance_on(node, engine, rng), _instance_on(node, engine, rng)
+        first.submit("r1", "svc", lambda *a: None)
+        second.submit("r2", "svc", lambda *a: None)
+        node.remove_container(first.container)
+        assert node._busy == [second.container]
+        node.add_container(first.container)
+        assert node._busy == [second.container, first.container]
+        engine.run_until(1.0)
+        assert node._busy == []
+
+
+class TestEnforcedPoolExactness:
+    def test_oversubscribed_enforced_pool_is_exact(self, node, engine, rng):
+        capacity = node.capacity[Resource.CPU]
+        limits = ResourceLimits.from_kwargs(cpu=0.6 * capacity)
+        enforced = [_instance_on(node, engine, rng, limits=limits) for _ in range(3)]
+        plain = _instance_on(node, engine, rng)
+        for instance in enforced:
+            instance.container.partition_enforced = True
+        # Two enforced replicas busy (one heavily), one idle; plus a busy
+        # best-effort neighbour that must not count as protected usage.
+        for index in range(30):
+            enforced[0].submit(f"a{index}", "svc", lambda *a: None)
+        enforced[2].submit("b", "svc", lambda *a: None)
+        plain.submit("c", "svc", lambda *a: None)
+
+        reservation = sum(i.container.limits[Resource.CPU] for i in enforced)
+        assert reservation > capacity
+        scale = capacity / reservation
+        protected = 0.0
+        for container in node.containers:
+            if container.partition_enforced:
+                guarantee = container.limits[Resource.CPU] * scale
+                protected += min(container.current_demand()[Resource.CPU], guarantee)
+        expected = max(capacity - min(protected, capacity), 0.05 * capacity)
+        assert node.best_effort_pool(Resource.CPU) == expected
+
+    def test_idle_enforced_containers_leave_full_capacity(self, node, engine, rng):
+        idle = _instance_on(node, engine, rng)
+        idle.container.partition_enforced = True
+        busy = _instance_on(node, engine, rng)
+        busy.submit("r1", "svc", lambda *a: None)
+        for resource in RESOURCE_TYPES:
+            assert node.best_effort_pool(resource) == node.capacity[resource]
+        node.inject_pressure(ResourceVector.from_kwargs(cpu=0.5 * node.capacity[Resource.CPU]))
+        factors = node.contention_factors(busy.container)
+        idle.container.partition_enforced = False
+        assert node.contention_factors(busy.container) == factors
+
+    def test_resource_subset_matches_full_evaluation(self, node, engine, rng):
+        instance = _instance_on(node, engine, rng)
+        instance.submit("r1", "svc", lambda *a: None)
+        node.inject_pressure(ResourceVector.from_kwargs(cpu=20.0, llc=5.0))
+        full = node.contention_factors(instance.container)
+        subset = (Resource.LLC, Resource.CPU)
+        assert node.contention_factors(instance.container, subset) == {
+            resource: full[resource] for resource in subset
+        }
